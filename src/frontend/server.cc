@@ -97,13 +97,7 @@ struct FrontendServer::Conn {
 
 FrontendServer::FrontendServer(ServerOptions options)
     : options_(std::move(options)) {
-  // Rewrites/answers run inline on pool workers against the session-wired
-  // shared oracle below; the service's internal oracle stays out of the
-  // way so cache mode is decided in exactly one place.
-  options_.service.share_oracle = false;
   service_ = std::make_unique<RewriteService>(options_.service);
-  oracle_ = std::make_unique<ContainmentOracle>(
-      options_.service.oracle_max_entries, options_.service.oracle_shards);
   plan_cache_ = std::make_unique<RewritePlanCache>(
       options_.plan_cache_max_entries, options_.plan_cache_shards);
 }
@@ -401,10 +395,9 @@ void FrontendServer::AcceptReady() {
     conn->last_activity = Clock::now();
     SessionOptions session_options = options_.session;
     session_options.service = service_.get();
-    session_options.dispatch_inline = true;
     session_options.enable_load = false;
     if (options_.share_cache) {
-      session_options.engine.oracle = oracle_.get();
+      session_options.engine.oracle = &service_->oracle();
       session_options.plan_cache = plan_cache_.get();
     } else {
       conn->own_oracle = std::make_unique<ContainmentOracle>(

@@ -97,13 +97,12 @@ struct ServerOptions {
   /// always run to completion).
   int drain_timeout_ms = 2'000;
   /// The backing RewriteService (worker pool). Commands execute as
-  /// generic tasks on it; its `oracle_shards`/`oracle_max_entries` also
-  /// size the server-lifetime shared oracle. `share_oracle` is forced off
-  /// (sharing happens through the session-level oracle wiring instead, so
-  /// 'rewrite' and 'answer' hit one cache).
+  /// tasks on it, and with `share_cache` every connection's rewrites and
+  /// answers use its oracle; `oracle_shards`/`oracle_max_entries` also
+  /// size each connection-private oracle when `share_cache` is off.
   ServiceOptions service;
-  /// Template for per-connection sessions; `service`, `dispatch_inline`,
-  /// `enable_load`, `engine.oracle`, and `plan_cache` are overwritten.
+  /// Template for per-connection sessions; `service`, `enable_load`,
+  /// `engine.oracle`, and `plan_cache` are overwritten.
   SessionOptions session;
   /// True (default): all connections share one server-lifetime oracle and
   /// rewriting-plan cache. False: per-connection oracles, no plan cache —
@@ -146,8 +145,9 @@ class FrontendServer {
   const ServerOptions& options() const { return options_; }
   RewriteService& service() { return *service_; }
   /// The server-lifetime caches every connection shares (when
-  /// `share_cache`; otherwise constructed but unused).
-  ContainmentOracle& oracle() { return *oracle_; }
+  /// `share_cache`; otherwise constructed but unused). The oracle is the
+  /// service's own: the process builds exactly one shared oracle.
+  ContainmentOracle& oracle() { return service_->oracle(); }
   RewritePlanCache& plan_cache() { return *plan_cache_; }
   uint64_t connections_accepted() const { return accepted_.load(); }
 
@@ -194,7 +194,6 @@ class FrontendServer {
 
   ServerOptions options_;
   std::unique_ptr<RewriteService> service_;
-  std::unique_ptr<ContainmentOracle> oracle_;
   std::unique_ptr<RewritePlanCache> plan_cache_;
   int listen_fd_ = -1;
   int epoll_fd_ = -1;

@@ -420,9 +420,6 @@ CommandResult Session::CmdShow(const std::string& rest) {
                    std::to_string(last_rewrite_.combinations) +
                    " checks=" + std::to_string(last_rewrite_.checks));
     const ContainmentOracle* oracle = options_.engine.oracle;
-    if (oracle == nullptr && options_.service != nullptr) {
-      oracle = &options_.service->oracle();
-    }
     if (oracle != nullptr) {
       OracleStats os = oracle->stats();
       char rate[16];
@@ -472,17 +469,6 @@ Result<RewriteResponse> Session::RunRewrite(const std::string& engine_name) {
   request.query = *query_;
   request.views = &views_;
   request.options = options_.engine;
-  if (options_.service != nullptr && !options_.dispatch_inline) {
-    ServiceRequest job;
-    job.engine = engine_name;
-    job.request = std::move(request);
-    AQV_ASSIGN_OR_RETURN(uint64_t ticket,
-                         options_.service->Submit(std::move(job)));
-    AQV_ASSIGN_OR_RETURN(ServiceResponse response,
-                         options_.service->Wait(ticket));
-    if (!response.status.ok()) return response.status;
-    return std::move(response.response);
-  }
   return RunEngine(engine_name, request);
 }
 
@@ -497,14 +483,6 @@ Result<AnswerResponse> Session::RunAnswer(AnswerRoute route,
   request.options = options_.engine;
   request.eval = options_.eval;
   request.planner = options_.planner;
-  if (options_.service != nullptr && !options_.dispatch_inline) {
-    AQV_ASSIGN_OR_RETURN(uint64_t ticket,
-                         options_.service->SubmitAnswer(std::move(request)));
-    AQV_ASSIGN_OR_RETURN(AnswerServiceResponse response,
-                         options_.service->WaitAnswer(ticket));
-    if (!response.status.ok()) return response.status;
-    return std::move(response.response);
-  }
   return AnswerQuery(request);
 }
 

@@ -72,18 +72,11 @@ struct SessionOptions {
   /// `explain` / cost-route knobs; `planner.engine` is overwritten with
   /// `engine` so budgets and the oracle are configured in one place.
   PlannerOptions planner;
-  /// When set, `rewrite` and `answer` execute as jobs on this service
-  /// (shared worker pool + sharded oracle) instead of inline; the session
-  /// blocks for its own result, so command semantics are unchanged. The
-  /// pointee must outlive the session.
+  /// The worker pool this session runs on, if any. Read only by `show
+  /// stats`, which prints its lifetime counters; commands always execute
+  /// on the calling thread (pair with `engine.oracle = &service->oracle()`
+  /// to share the pool's cache). The pointee must outlive the session.
   RewriteService* service = nullptr;
-  /// When true with `service` set, rewrite/answer run inline (on the
-  /// calling thread) while `show stats` still surfaces the service. The
-  /// epoll server sets this: its commands already execute *on* pool
-  /// workers as generic tasks, and a worker submitting a nested job and
-  /// blocking on it could deadlock the pool. Pair with
-  /// `engine.oracle = &service->oracle()` to keep sharing the cache.
-  bool dispatch_inline = false;
   /// When set, `rewrite` consults and populates this shared rewriting-plan
   /// cache (service/plan_cache.h): an exact repeat of (engine, options,
   /// query text, views text) — across this or any other session sharing
@@ -163,10 +156,10 @@ class Session {
   /// "set a query first" / "add at least one view first" preconditions.
   [[nodiscard]] Status Ready(bool needs_views) const;
 
-  /// Runs `engine_name` on the session problem, inline or via the service.
+  /// Runs `engine_name` on the session problem.
   [[nodiscard]] Result<RewriteResponse> RunRewrite(const std::string& engine_name);
 
-  /// Runs the answering pipeline, inline or via the service.
+  /// Runs the answering pipeline on the session problem.
   [[nodiscard]] Result<AnswerResponse> RunAnswer(AnswerRoute route,
                                    const std::string& engine_name);
 

@@ -41,290 +41,136 @@ RewriteService::RewriteService(ServiceOptions options)
 }
 
 RewriteService::~RewriteService() {
-  {
-    std::lock_guard<std::mutex> lock(results_mu_);
-    shutting_down_ = true;
-  }
   queue_.Close();  // workers drain queued jobs, then exit
   for (std::thread& t : workers_) t.join();
 }
 
 void RewriteService::WorkerLoop() {
-  Job job;
+  std::function<void()> job;
   while (queue_.Pop(&job)) {
-    // Completion counters are bumped *before* the result is delivered
-    // (before the done-map insert, or before a generic task's body — the
-    // body is its delivery): anything sequenced after collecting a result,
-    // like a later pipelined command rendering lifetime_stats(), must
-    // already see this job counted, or exact-count observers would race
-    // the increment.
-    if (std::holds_alternative<ServiceRequest>(job.request)) {
-      ServiceResponse resp = ExecuteRewrite(job);
-      Count(resp.status.ok());
-      {
-        std::lock_guard<std::mutex> lock(results_mu_);
-        pending_.erase(job.ticket);
-        done_.emplace(job.ticket, std::move(resp));
-      }
-    } else if (std::holds_alternative<AnswerRequest>(job.request)) {
-      AnswerServiceResponse resp = ExecuteAnswer(job);
-      Count(resp.status.ok());
-      {
-        std::lock_guard<std::mutex> lock(results_mu_);
-        pending_.erase(job.ticket);
-        done_answers_.emplace(job.ticket, std::move(resp));
-      }
-    } else {
-      // Generic task: it delivers its own result; nothing lands in a done
-      // map (Wait on this ticket reports kNotFound, as documented).
-      Count(true);
-      std::get<std::function<void()>>(job.request)();
-      {
-        std::lock_guard<std::mutex> lock(results_mu_);
-        pending_.erase(job.ticket);
-      }
-    }
-    result_ready_.notify_all();
+    job();
+    job = nullptr;  // release the job's captures before blocking again
   }
 }
 
-ServiceResponse RewriteService::ExecuteRewrite(Job& job) {
-  ServiceRequest& rewrite = std::get<ServiceRequest>(job.request);
-  ServiceResponse resp;
-  resp.ticket = job.ticket;
-  resp.engine = rewrite.engine;
-  // The worker owns the job outright, so wire the oracle in place rather
-  // than deep-copying the request (its whole UCQ) per execution.
-  RewriteRequest& request = rewrite.request;
-  if (options_.share_oracle) request.options.oracle = &oracle_;
-  auto t0 = std::chrono::steady_clock::now();
-  Result<RewriteResponse> r = RunEngine(rewrite.engine, request);
-  resp.latency_ms = MsBetween(t0, std::chrono::steady_clock::now());
-  if (r.ok()) {
-    resp.response = std::move(r).value();
-  } else {
-    resp.status = r.status();
-  }
-  return resp;
-}
-
-AnswerServiceResponse RewriteService::ExecuteAnswer(Job& job) {
-  AnswerRequest& answer = std::get<AnswerRequest>(job.request);
-  AnswerServiceResponse resp;
-  resp.ticket = job.ticket;
-  // One wire point suffices: AnswerQuery copies request.options into the
-  // planner's engine options itself.
-  if (options_.share_oracle) answer.options.oracle = &oracle_;
-  auto t0 = std::chrono::steady_clock::now();
-  Result<AnswerResponse> r = AnswerQuery(answer);
-  resp.latency_ms = MsBetween(t0, std::chrono::steady_clock::now());
-  if (r.ok()) {
-    resp.response = std::move(r).value();
-  } else {
-    resp.status = r.status();
-  }
-  return resp;
-}
-
-Result<uint64_t> RewriteService::Enqueue(Job job) {
-  {
-    std::lock_guard<std::mutex> lock(results_mu_);
-    if (shutting_down_) {
-      return Status::Internal("RewriteService is shutting down");
-    }
-    job.ticket = next_ticket_++;
-    pending_.insert(job.ticket);
-  }
-  uint64_t ticket = job.ticket;
+Status RewriteService::Enqueue(std::function<void()> job) {
   if (!queue_.Push(std::move(job))) {
-    std::lock_guard<std::mutex> lock(results_mu_);
-    pending_.erase(ticket);
     return Status::Internal("RewriteService is shutting down");
   }
-  return ticket;
-}
-
-Result<uint64_t> RewriteService::Submit(ServiceRequest request) {
-  Job job;
-  job.request = std::move(request);
-  return Enqueue(std::move(job));
-}
-
-Result<uint64_t> RewriteService::SubmitAnswer(AnswerRequest request) {
-  Job job;
-  job.request = std::move(request);
-  return Enqueue(std::move(job));
-}
-
-Status RewriteService::SubmitTask(std::function<void()> task) {
-  Job job;
-  job.request = std::move(task);
-  Result<uint64_t> ticket = Enqueue(std::move(job));
-  if (!ticket.ok()) return ticket.status();
   return Status::OK();
 }
 
-template <typename Response>
-Result<Response> RewriteService::WaitIn(
-    std::unordered_map<uint64_t, Response>& done, uint64_t ticket,
-    const char* flavor) {
-  std::unique_lock<std::mutex> lock(results_mu_);
-  // Also wake when the ticket vanishes entirely (a racing Wait/TryWait on
-  // the same ticket collected it, or it belongs to the other job kind):
-  // that must report kNotFound, not hang.
-  result_ready_.wait(lock, [&] {
-    return done.count(ticket) != 0 || pending_.count(ticket) == 0;
+Status RewriteService::SubmitTask(std::function<void()> task) {
+  // The task body is its own delivery, so it is counted before it runs.
+  return Enqueue([this, task = std::move(task)] {
+    Count(true);
+    task();
   });
-  auto it = done.find(ticket);
-  if (it == done.end()) {
-    return Status::NotFound("ticket " + std::to_string(ticket) +
-                            " was never issued as " + flavor +
-                            " job or was already collected");
-  }
-  Response resp = std::move(it->second);
-  done.erase(it);
-  return resp;
-}
-
-template <typename Response>
-Result<std::optional<Response>> RewriteService::TryWaitIn(
-    std::unordered_map<uint64_t, Response>& done, uint64_t ticket,
-    const char* flavor) {
-  std::lock_guard<std::mutex> lock(results_mu_);
-  auto it = done.find(ticket);
-  if (it == done.end()) {
-    if (pending_.count(ticket) == 0) {
-      return Status::NotFound("ticket " + std::to_string(ticket) +
-                              " was never issued as " + flavor +
-                              " job or was already collected");
-    }
-    return std::optional<Response>();  // still in flight
-  }
-  std::optional<Response> resp(std::move(it->second));
-  done.erase(it);
-  return resp;
-}
-
-Result<ServiceResponse> RewriteService::Wait(uint64_t ticket) {
-  return WaitIn(done_, ticket, "a rewrite");
-}
-
-Result<std::optional<ServiceResponse>> RewriteService::TryWait(
-    uint64_t ticket) {
-  return TryWaitIn(done_, ticket, "a rewrite");
-}
-
-Result<AnswerServiceResponse> RewriteService::WaitAnswer(uint64_t ticket) {
-  return WaitIn(done_answers_, ticket, "an answering");
-}
-
-Result<std::optional<AnswerServiceResponse>> RewriteService::TryWaitAnswer(
-    uint64_t ticket) {
-  return TryWaitIn(done_answers_, ticket, "an answering");
 }
 
 namespace {
 
-/// Shared tail of the two batch APIs: wall time, throughput, latency
-/// percentiles, per-batch oracle delta.
-void FinalizeBatchStats(ServiceStats* stats, size_t batch_size,
-                        std::vector<double>* latencies,
-                        std::chrono::steady_clock::time_point t0,
-                        const OracleStats& oracle_before,
-                        const ContainmentOracle& oracle, int num_workers) {
-  stats->requests = batch_size;
-  stats->wall_ms = MsBetween(t0, std::chrono::steady_clock::now());
-  if (stats->wall_ms > 0.0) {
-    stats->throughput_rps =
-        static_cast<double>(batch_size) / (stats->wall_ms / 1000.0);
+/// The per-kind halves of a batch job, overloaded on the request type:
+/// wire the shared oracle into the job's own copy of the request, run it,
+/// and echo request fields into the response.
+Result<RewriteResponse> Execute(ServiceRequest& job, ContainmentOracle* oracle) {
+  job.request.options.oracle = oracle;
+  return RunEngine(job.engine, job.request);
+}
+
+Result<AnswerResponse> Execute(AnswerRequest& job, ContainmentOracle* oracle) {
+  // One wire point suffices: AnswerQuery copies request.options into the
+  // planner's engine options itself.
+  job.options.oracle = oracle;
+  return AnswerQuery(job);
+}
+
+void Echo(const ServiceRequest& job, ServiceResponse* resp) {
+  resp->engine = job.engine;
+}
+
+void Echo(const AnswerRequest& /*job*/, AnswerServiceResponse* /*resp*/) {}
+
+/// The one batch implementation behind RewriteBatch and AnswerBatch:
+/// submit every request as a job on the pool, then collect the tickets in
+/// submission order and aggregate their stats.
+template <typename Out, typename Request>
+Result<Out> RunBatch(RewriteService& service,
+                     const std::vector<Request>& batch) {
+  using Response = typename decltype(Out::responses)::value_type;
+  ContainmentOracle& oracle = service.oracle();
+  OracleStats oracle_before = oracle.stats();
+  auto t0 = std::chrono::steady_clock::now();
+
+  std::vector<Ticket<Response>> tickets;
+  tickets.reserve(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    Result<Ticket<Response>> ticket = service.Submit([&batch, &oracle, i] {
+      Request job = batch[i];  // the job wires the oracle into its own copy
+      Response resp;
+      resp.ticket = i;
+      Echo(job, &resp);
+      auto start = std::chrono::steady_clock::now();
+      auto r = Execute(job, &oracle);
+      resp.latency_ms = MsBetween(start, std::chrono::steady_clock::now());
+      if (r.ok()) {
+        resp.response = std::move(r).value();
+      } else {
+        resp.status = r.status();
+      }
+      return resp;
+    });
+    if (!ticket.ok()) {
+      // Shutdown raced the batch: the accepted jobs reference `batch`, so
+      // wait them out before failing with the submit error.
+      for (Ticket<Response>& t : tickets) static_cast<void>(t.Wait());
+      return ticket.status();
+    }
+    tickets.push_back(std::move(ticket).value());
   }
-  std::sort(latencies->begin(), latencies->end());
-  stats->p50_ms = NearestRankPercentile(*latencies, 0.50);
-  stats->p95_ms = NearestRankPercentile(*latencies, 0.95);
-  stats->max_ms = latencies->empty() ? 0.0 : latencies->back();
-  stats->oracle = oracle.stats() - oracle_before;
-  stats->num_workers = num_workers;
-  stats->oracle_shards = oracle.num_shards();
+
+  Out out;
+  out.responses.reserve(batch.size());
+  std::vector<double> latencies;
+  latencies.reserve(batch.size());
+  for (Ticket<Response>& ticket : tickets) {
+    Response resp = ticket.Wait();
+    latencies.push_back(resp.latency_ms);
+    if (resp.status.ok()) {
+      ++out.stats.ok;
+    } else {
+      ++out.stats.failed;
+    }
+    out.responses.push_back(std::move(resp));
+  }
+
+  ServiceStats& stats = out.stats;
+  stats.requests = batch.size();
+  stats.wall_ms = MsBetween(t0, std::chrono::steady_clock::now());
+  if (stats.wall_ms > 0.0) {
+    stats.throughput_rps =
+        static_cast<double>(batch.size()) / (stats.wall_ms / 1000.0);
+  }
+  std::sort(latencies.begin(), latencies.end());
+  stats.p50_ms = NearestRankPercentile(latencies, 0.50);
+  stats.p95_ms = NearestRankPercentile(latencies, 0.95);
+  stats.max_ms = latencies.empty() ? 0.0 : latencies.back();
+  stats.oracle = oracle.stats() - oracle_before;
+  stats.num_workers = service.num_workers();
+  stats.oracle_shards = oracle.num_shards();
+  return out;
 }
 
 }  // namespace
 
 Result<BatchResult> RewriteService::RewriteBatch(
     const std::vector<ServiceRequest>& batch) {
-  OracleStats oracle_before = oracle_.stats();
-  auto t0 = std::chrono::steady_clock::now();
-
-  std::vector<uint64_t> tickets;
-  tickets.reserve(batch.size());
-  for (const ServiceRequest& request : batch) {
-    Result<uint64_t> ticket = Submit(request);
-    if (!ticket.ok()) {
-      // Shutdown raced the batch: collect what was accepted, then fail.
-      // Discard is sound: the batch already reports the submit error, and
-      // draining exists only to keep tickets from outliving the pool.
-      for (uint64_t t : tickets) AQV_DISCARD_STATUS(Wait(t));
-      return ticket.status();
-    }
-    tickets.push_back(ticket.value());
-  }
-
-  BatchResult out;
-  out.responses.reserve(batch.size());
-  std::vector<double> latencies;
-  latencies.reserve(batch.size());
-  for (uint64_t ticket : tickets) {
-    // Tickets are ours and uncollected, so Wait cannot return kNotFound.
-    AQV_ASSIGN_OR_RETURN(ServiceResponse resp, Wait(ticket));
-    latencies.push_back(resp.latency_ms);
-    if (resp.status.ok()) {
-      ++out.stats.ok;
-    } else {
-      ++out.stats.failed;
-    }
-    out.responses.push_back(std::move(resp));
-  }
-
-  FinalizeBatchStats(&out.stats, batch.size(), &latencies, t0, oracle_before,
-                     oracle_, num_workers());
-  return out;
+  return RunBatch<BatchResult>(*this, batch);
 }
 
 Result<AnswerBatchResult> RewriteService::AnswerBatch(
     const std::vector<AnswerRequest>& batch) {
-  OracleStats oracle_before = oracle_.stats();
-  auto t0 = std::chrono::steady_clock::now();
-
-  std::vector<uint64_t> tickets;
-  tickets.reserve(batch.size());
-  for (const AnswerRequest& request : batch) {
-    Result<uint64_t> ticket = SubmitAnswer(request);
-    if (!ticket.ok()) {
-      // Same justified discard as RewriteBatch: submit's error is the
-      // batch result; the drain only reclaims accepted tickets.
-      for (uint64_t t : tickets) AQV_DISCARD_STATUS(WaitAnswer(t));
-      return ticket.status();
-    }
-    tickets.push_back(ticket.value());
-  }
-
-  AnswerBatchResult out;
-  out.responses.reserve(batch.size());
-  std::vector<double> latencies;
-  latencies.reserve(batch.size());
-  for (uint64_t ticket : tickets) {
-    AQV_ASSIGN_OR_RETURN(AnswerServiceResponse resp, WaitAnswer(ticket));
-    latencies.push_back(resp.latency_ms);
-    if (resp.status.ok()) {
-      ++out.stats.ok;
-    } else {
-      ++out.stats.failed;
-    }
-    out.responses.push_back(std::move(resp));
-  }
-
-  FinalizeBatchStats(&out.stats, batch.size(), &latencies, t0, oracle_before,
-                     oracle_, num_workers());
-  return out;
+  return RunBatch<AnswerBatchResult>(*this, batch);
 }
 
 ServiceStats RewriteService::lifetime_stats() const {

@@ -1,23 +1,18 @@
 /// \file
-/// The concurrent batch service: a fixed pool of worker threads executing
-/// three kinds of jobs — RewriteRequests through the unified engine layer
-/// (rewriting/engine.h), AnswerRequests through the end-to-end answering
-/// pipeline (answering/answering.h), and opaque generic tasks
-/// (SubmitTask: the frontend server runs whole parsed commands as tasks,
-/// delivering results through its own completion queue) — all sharing one
-/// sharded thread-safe ContainmentOracle (containment/oracle.h). Per-request
-/// latency has a hard floor — the underlying problems are NP-complete
-/// (LMSS95 Thms 3.1/3.3) — so the service buys throughput, not latency:
-/// parallel execution across requests plus cross-request containment
-/// memoization.
+/// The concurrent service: a fixed pool of worker threads draining one
+/// queue of opaque jobs, plus a sharded thread-safe ContainmentOracle
+/// (containment/oracle.h) that the batch helpers wire into every request.
+/// Per-request latency has a hard floor — the underlying problems are
+/// NP-complete (LMSS95 Thms 3.1/3.3) — so the service buys throughput,
+/// not latency: parallel execution across requests plus cross-request
+/// containment memoization.
 ///
-/// Entry points per job kind: the blocking batch APIs (RewriteBatch /
-/// AnswerBatch: submit a vector, block for all results plus aggregate
-/// ServiceStats) and the streaming Submit/Wait/TryWait resp.
-/// SubmitAnswer/WaitAnswer/TryWaitAnswer ticket APIs. Tickets come from
-/// one shared sequence, but collection is typed: a ticket must be
-/// collected through the API flavor that submitted it (waiting on the
-/// other flavor reports kNotFound once the job completes). Responses are
+/// One job queue, two ways in: Submit(fn) runs any callable on the pool
+/// and returns a typed Ticket<R> over its result; SubmitTask(fn) runs a
+/// task that delivers its own result (the epoll frontend runs whole
+/// parsed commands this way). RewriteBatch and AnswerBatch are thin
+/// blocking helpers over Submit: submit a vector, block for all results
+/// plus aggregate ServiceStats. Responses are
 /// deterministic: a request's payload never depends on worker count,
 /// shard count, or scheduling, because the oracle is a pure cache
 /// (tests/test_service.cc holds the service to that). The one
@@ -30,17 +25,16 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
+#include <future>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
-#include <variant>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "answering/answering.h"
@@ -60,12 +54,6 @@ struct ServiceOptions {
   size_t oracle_shards = 8;
   /// Total entry budget of the shared oracle, split across shards.
   size_t oracle_max_entries = size_t{1} << 20;
-  /// When true (default), every request's EngineOptions::oracle is
-  /// overwritten with the service's shared oracle. When false, requests
-  /// run with whatever oracle (or none) the caller set — caller-provided
-  /// oracles are themselves sharded/thread-safe, so sharing one across
-  /// in-flight requests is allowed.
-  bool share_oracle = true;
 };
 
 /// One unit of service work: which engine, applied to which request. The
@@ -79,7 +67,7 @@ struct ServiceRequest {
 
 /// Outcome of one ServiceRequest.
 struct ServiceResponse {
-  /// The ticket Submit returned (batch positions for RewriteBatch).
+  /// Position of the request in its RewriteBatch.
   uint64_t ticket = 0;
   /// Echo of ServiceRequest::engine.
   std::string engine;
@@ -118,10 +106,10 @@ struct BatchResult {
   ServiceStats stats;
 };
 
-/// Outcome of one answering job (the second job kind; see
-/// answering/answering.h for the request/response semantics).
+/// Outcome of one AnswerBatch request (see answering/answering.h for the
+/// request/response semantics).
 struct AnswerServiceResponse {
-  /// The ticket SubmitAnswer returned (batch positions for AnswerBatch).
+  /// Position of the request in its AnswerBatch.
   uint64_t ticket = 0;
   /// Pipeline-level failure (unknown engine/route, missing inputs, budget
   /// overrun). `response` is meaningful only when this is OK.
@@ -143,13 +131,83 @@ struct AnswerBatchResult {
 /// is the *smaller* sample — the textbook nearest-rank definition.
 double NearestRankPercentile(const std::vector<double>& sorted, double q);
 
-/// \brief Fixed-pool concurrent rewriting service over the engine registry.
+/// \brief Move-only handle on the result of one RewriteService::Submit job.
+///
+/// Collect the result exactly once, with Wait or a successful TryWait;
+/// collecting twice aborts (like reading an error Result). A ticket may
+/// outlive the service that issued it: the destructor runs every accepted
+/// job, so an outstanding ticket always becomes ready.
+template <typename R>
+class Ticket {
+ public:
+  explicit Ticket(std::future<R> future) : future_(std::move(future)) {}
+
+  /// False once the result has been collected.
+  bool valid() const { return future_.valid(); }
+
+  /// Blocks until the job has run, then hands its result over.
+  R Wait() {
+    CheckValid();
+    return future_.get();
+  }
+
+  /// Non-blocking poll: the result if the job has run (collecting it),
+  /// nullopt while it is still queued or running.
+  std::optional<R> TryWait() {
+    CheckValid();
+    if (future_.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+      return std::nullopt;
+    }
+    return future_.get();
+  }
+
+ private:
+  void CheckValid() const {
+    if (!future_.valid()) {
+      internal_status::DieBadAccess("Ticket collected twice", "");
+    }
+  }
+
+  std::future<R> future_;
+};
+
+namespace internal_service {
+
+template <typename R, typename = void>
+struct HasOk : std::false_type {};
+template <typename R>
+struct HasOk<R, std::void_t<decltype(std::declval<const R&>().ok())>>
+    : std::true_type {};
+
+template <typename R, typename = void>
+struct HasStatusField : std::false_type {};
+template <typename R>
+struct HasStatusField<R, std::void_t<decltype(std::declval<const R&>().status.ok())>>
+    : std::true_type {};
+
+/// Whether a job result counts as `ok` in lifetime_stats: false only when
+/// it carries a non-OK status (a Status or Result itself, or a response
+/// with a `status` field); any other value is a success.
+template <typename R>
+bool Succeeded(const R& result) {
+  if constexpr (HasOk<R>::value) {
+    return result.ok();
+  } else if constexpr (HasStatusField<R>::value) {
+    return result.status.ok();
+  } else {
+    return true;
+  }
+}
+
+}  // namespace internal_service
+
+/// \brief Fixed-pool concurrent service: a generic worker pool plus the
+/// shared containment oracle the batch helpers run against.
 ///
 /// Thread safety: all public members may be called from any thread.
 /// Shutdown: the destructor drains already-submitted work, then joins the
-/// workers — it never abandons an accepted ticket, so a Wait in another
-/// thread cannot be left hanging (but do collect outstanding tickets
-/// before destroying the service if you care about their results).
+/// workers — it never abandons an accepted job, so every ticket becomes
+/// ready and every SubmitTask body runs.
 class RewriteService {
  public:
   explicit RewriteService(ServiceOptions options = {});
@@ -158,72 +216,63 @@ class RewriteService {
   RewriteService(const RewriteService&) = delete;
   RewriteService& operator=(const RewriteService&) = delete;
 
-  /// Executes `batch` across the pool; blocks until every response is in.
-  /// responses[i] corresponds to batch[i]. Engine-level failures are
-  /// per-response (`responses[i].status`); the call itself only fails if
-  /// the service is shutting down.
+  /// Executes `batch` across the pool against the shared oracle; blocks
+  /// until every response is in. responses[i] corresponds to batch[i].
+  /// Engine-level failures are per-response (`responses[i].status`); the
+  /// call itself only fails if the service is shutting down.
   [[nodiscard]] Result<BatchResult> RewriteBatch(const std::vector<ServiceRequest>& batch);
 
   /// Answering twin of RewriteBatch: runs every AnswerRequest through the
-  /// pipeline on the shared pool (rewriting and answering jobs interleave
-  /// freely on the same workers and oracle).
+  /// pipeline on the same pool and oracle.
   [[nodiscard]] Result<AnswerBatchResult> AnswerBatch(const std::vector<AnswerRequest>& batch);
 
-  /// Streaming half: enqueue one request, get a ticket for Wait/TryWait.
-  /// Returns kFailedPrecondition-style Internal error if shutting down.
-  /// Every ticket must eventually be collected: an uncollected response is
-  /// retained (full RewriteResponse payload) until the service dies, so
-  /// fire-and-forget submission leaks memory for the service's lifetime.
-  [[nodiscard]] Result<uint64_t> Submit(ServiceRequest request);
+  /// Runs `fn()` on a pool worker and returns a ticket over its result.
+  /// The job counts in lifetime_stats once it has run (`failed` when its
+  /// result carries a non-OK status), before the ticket becomes ready.
+  /// Whatever `fn` references must outlive the job; it runs with the
+  /// oracle (if any) the caller wired in — pass `&oracle()` to share the
+  /// service's. Fails only when the service is shutting down.
+  template <typename Fn, typename R = std::invoke_result_t<Fn&>>
+  [[nodiscard]] Result<Ticket<R>> Submit(Fn fn) {
+    static_assert(!std::is_void_v<R>,
+                  "Submit needs a result; use SubmitTask for a task that "
+                  "delivers its own");
+    struct State {
+      Fn fn;
+      std::promise<R> promise;
+    };
+    auto state = std::make_shared<State>(State{std::move(fn), {}});
+    Ticket<R> ticket(state->promise.get_future());
+    AQV_RETURN_NOT_OK(Enqueue([this, state] {
+      R result = state->fn();
+      Count(internal_service::Succeeded(result));
+      state->promise.set_value(std::move(result));
+    }));
+    return Result<Ticket<R>>(std::move(ticket));
+  }
 
-  /// Streaming submission of an answering job; collect the ticket with
-  /// WaitAnswer/TryWaitAnswer (the rewrite-side Wait reports kNotFound
-  /// for answering tickets).
-  [[nodiscard]] Result<uint64_t> SubmitAnswer(AnswerRequest request);
-
-  /// Fire-and-forget third job kind: runs `task` on a pool worker. There
-  /// is no collection API — the task delivers its own result (the epoll
-  /// frontend pushes completions to its event loop); Wait/WaitAnswer on a
-  /// task's ticket report kNotFound. Tasks count in lifetime_stats
-  /// (requests/ok) like any other job. The only failure is submission
+  /// Fire-and-forget: runs `task` on a pool worker. The task delivers its
+  /// own result (the epoll frontend pushes completions to its event
+  /// loop) and always counts as `ok`. The only failure is submission
   /// during shutdown; accepted tasks always run (the destructor drains).
   [[nodiscard]] Status SubmitTask(std::function<void()> task);
-
-  /// Blocks until the ticket's response is ready, then hands it over
-  /// (each ticket can be collected exactly once). kNotFound for tickets
-  /// never issued, already collected, or submitted as the other job kind.
-  [[nodiscard]] Result<ServiceResponse> Wait(uint64_t ticket);
-
-  /// Non-blocking poll: the response if ready (collecting it), nullopt if
-  /// still in flight. kNotFound as for Wait.
-  [[nodiscard]] Result<std::optional<ServiceResponse>> TryWait(uint64_t ticket);
-
-  /// Answering twins of Wait/TryWait.
-  [[nodiscard]] Result<AnswerServiceResponse> WaitAnswer(uint64_t ticket);
-  [[nodiscard]] Result<std::optional<AnswerServiceResponse>> TryWaitAnswer(uint64_t ticket);
 
   /// Totals since construction (percentiles zero; see ServiceStats).
   ServiceStats lifetime_stats() const;
 
-  /// The shared sharded oracle (always constructed; unused per-request
-  /// when options.share_oracle is false).
+  /// The shared sharded oracle the batch helpers wire into every request.
   ContainmentOracle& oracle() { return oracle_; }
   const ServiceOptions& options() const { return options_; }
   int num_workers() const { return static_cast<int>(workers_.size()); }
 
  private:
-  struct Job {
-    uint64_t ticket = 0;
-    /// Exactly one payload per job; the alternative is the job kind.
-    std::variant<ServiceRequest, AnswerRequest, std::function<void()>> request;
-  };
-
   void WorkerLoop();
-  ServiceResponse ExecuteRewrite(Job& job);
-  AnswerServiceResponse ExecuteAnswer(Job& job);
-  [[nodiscard]] Result<uint64_t> Enqueue(Job job);
-  /// Bumps the lifetime completion counters; called by workers before a
-  /// job's result is delivered (see WorkerLoop for why before).
+  [[nodiscard]] Status Enqueue(std::function<void()> job);
+  /// Bumps the lifetime completion counters. Every job calls it *before*
+  /// delivering its result: anything sequenced after collecting a result,
+  /// like a later pipelined command rendering lifetime_stats(), must
+  /// already see the job counted, or exact-count observers would race
+  /// the increment.
   void Count(bool ok) {
     if (ok) {
       completed_ok_.fetch_add(1, std::memory_order_relaxed);
@@ -232,32 +281,10 @@ class RewriteService {
     }
   }
 
-  /// Shared implementation of Wait/WaitAnswer and TryWait/TryWaitAnswer:
-  /// the subtle wake-and-kNotFound predicate lives here once, per done
-  /// map. Defined in service.cc (only used there).
-  template <typename Response>
-  [[nodiscard]] Result<Response> WaitIn(std::unordered_map<uint64_t, Response>& done,
-                          uint64_t ticket, const char* flavor);
-  template <typename Response>
-  [[nodiscard]] Result<std::optional<Response>> TryWaitIn(
-      std::unordered_map<uint64_t, Response>& done, uint64_t ticket,
-      const char* flavor);
-
   ServiceOptions options_;
   ContainmentOracle oracle_;
-  MpmcQueue<Job> queue_;
+  MpmcQueue<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
-
-  mutable std::mutex results_mu_;
-  std::condition_variable result_ready_;
-  /// Tickets issued but not yet collected; a ticket is in `pending_` from
-  /// Submit/SubmitAnswer until its response lands in the matching done
-  /// map (`done_` for rewrite jobs, `done_answers_` for answering jobs).
-  std::unordered_set<uint64_t> pending_;
-  std::unordered_map<uint64_t, ServiceResponse> done_;
-  std::unordered_map<uint64_t, AnswerServiceResponse> done_answers_;
-  uint64_t next_ticket_ = 1;
-  bool shutting_down_ = false;
 
   std::atomic<uint64_t> completed_ok_{0};
   std::atomic<uint64_t> completed_failed_{0};

@@ -81,7 +81,7 @@ struct ScenarioRequestBatch {
 /// \brief A synthesized answering batch: full AnswerRequests — query,
 /// views, base instance, *and pre-materialized extents* — over owned
 /// Scenario objects, the workload-side input of the service layer's
-/// answering job kind (RewriteService::AnswerBatch consumes `requests`
+/// answering batches (RewriteService::AnswerBatch consumes `requests`
 /// directly).
 ///
 /// `requests` and `labels` are parallel arrays. Each scenario's extents

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <future>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "answering/answering.h"
@@ -367,51 +370,66 @@ TEST(Answering, MixedJobKindsShareThePool) {
   options.num_workers = 2;
   RewriteService service(options);
 
-  ServiceRequest rewrite;
-  rewrite.engine = "minicon";
-  rewrite.request.query.disjuncts.push_back(s.query);
-  rewrite.request.views = &s.views;
-  uint64_t rewrite_ticket = service.Submit(rewrite).value();
+  RewriteRequest rewrite;
+  rewrite.query.disjuncts.push_back(s.query);
+  rewrite.views = &s.views;
+  rewrite.options.oracle = &service.oracle();
+  auto rewrite_ticket =
+      service.Submit([rewrite] { return RunEngine("minicon", rewrite); });
 
   AnswerRequest answer = BaseRequest(s.query, s.views, s.base);
   answer.route = AnswerRoute::kInverseRules;
-  uint64_t answer_ticket = service.SubmitAnswer(answer).value();
+  answer.options.oracle = &service.oracle();
+  auto answer_ticket = service.Submit([answer] { return AnswerQuery(answer); });
+  ASSERT_TRUE(rewrite_ticket.ok() && answer_ticket.ok());
 
-  auto answer_resp = service.WaitAnswer(answer_ticket);
-  ASSERT_TRUE(answer_resp.ok());
-  ASSERT_TRUE(answer_resp.value().status.ok());
-  auto rewrite_resp = service.Wait(rewrite_ticket);
-  ASSERT_TRUE(rewrite_resp.ok());
-  ASSERT_TRUE(rewrite_resp.value().status.ok());
+  Result<AnswerResponse> answer_resp = answer_ticket.value().Wait();
+  ASSERT_TRUE(answer_resp.ok()) << answer_resp.status().ToString();
+  Result<RewriteResponse> rewrite_resp = rewrite_ticket.value().Wait();
+  ASSERT_TRUE(rewrite_resp.ok()) << rewrite_resp.status().ToString();
 
   // The two jobs agree: evaluating the minicon union over extents equals
   // the inverse-rules certain answers.
   Database extents = MaterializeViews(s.views, s.base).value();
   Relation via_union =
-      EvaluateRewritingUnion(s.query, rewrite_resp.value().response.rewritings,
-                             extents)
+      EvaluateRewritingUnion(s.query, rewrite_resp.value().rewritings, extents)
           .value();
-  EXPECT_TRUE(Relation::SameSet(via_union,
-                                answer_resp.value().response.result));
+  EXPECT_TRUE(Relation::SameSet(via_union, answer_resp.value().result));
 
-  // Lifetime stats count both kinds.
+  // Lifetime stats count both jobs.
   EXPECT_EQ(service.lifetime_stats().requests, 2u);
 }
 
 TEST(Answering, TypedTicketCollection) {
   Scenario s = MakeTravelScenario(13, 30).value();
-  RewriteService service(ServiceOptions{});
+  ServiceOptions options;
+  options.num_workers = 1;
+  RewriteService service(options);
   AnswerRequest answer = BaseRequest(s.query, s.views, s.base);
   answer.route = AnswerRoute::kDirect;
-  uint64_t ticket = service.SubmitAnswer(answer).value();
-  // Collecting an answering ticket through the rewrite-side API reports
-  // kNotFound (after completion) instead of hanging or mixing payloads.
-  auto wrong = service.Wait(ticket);
-  ASSERT_FALSE(wrong.ok());
-  EXPECT_EQ(wrong.status().code(), StatusCode::kNotFound);
-  auto right = service.WaitAnswer(ticket);
-  ASSERT_TRUE(right.ok());
-  EXPECT_TRUE(right.value().status.ok());
+  // The job blocks on a latch until the test releases it.
+  std::promise<void> latch;
+  std::shared_future<void> released = latch.get_future().share();
+  auto ticket = service.Submit([answer, released] {
+    released.wait();
+    return AnswerQuery(answer);
+  });
+  ASSERT_TRUE(ticket.ok());
+  // Held: polling reports "in flight" without collecting anything.
+  EXPECT_FALSE(ticket.value().TryWait().has_value());
+  EXPECT_FALSE(ticket.value().TryWait().has_value());
+  EXPECT_TRUE(ticket.value().valid());
+
+  latch.set_value();
+  std::optional<Result<AnswerResponse>> done;
+  while (!done.has_value()) {
+    done = ticket.value().TryWait();
+    if (!done.has_value()) std::this_thread::yield();
+  }
+  ASSERT_TRUE(done->ok()) << done->status().ToString();
+  EXPECT_TRUE(Relation::SameSet(done->value().result,
+                                AnswerQuery(answer).value().result));
+  EXPECT_FALSE(ticket.value().valid());
 }
 
 }  // namespace

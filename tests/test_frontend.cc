@@ -523,7 +523,13 @@ TEST(SessionTest, ServiceBackedSessionProducesIdenticalPayloads) {
     EXPECT_EQ(a.status.code(), b.status.code()) << line;
     EXPECT_EQ(a.output, b.output) << line;
   }
-  EXPECT_GT(service.lifetime_stats().requests, 0u);
+  // Commands run on the calling thread; the service only surfaces in
+  // `show stats`.
+  CommandResult stats = with_service.Execute("show stats");
+  ASSERT_TRUE(stats.ok());
+  EXPECT_NE(stats.output.find("service: requests=0 ok=0 failed=0"),
+            std::string::npos)
+      << stats.output;
 }
 
 TEST(ReplayTest, ScriptFromScenarioRoundTrips) {

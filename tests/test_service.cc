@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -231,40 +232,101 @@ TEST(RewriteServiceTest, SubmitWaitStreaming) {
   RewriteService service(options);
   std::vector<ServiceRequest> requests = ToServiceRequests(batch);
 
-  auto unknown = service.Wait(999999);
-  ASSERT_FALSE(unknown.ok());
-  EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
-
-  std::vector<uint64_t> tickets;
+  // A job is any callable; these run an engine against the shared oracle
+  // and echo the engine name, as RewriteBatch does.
+  ContainmentOracle* oracle = &service.oracle();
+  std::vector<Ticket<ServiceResponse>> tickets;
   for (const ServiceRequest& r : requests) {
-    auto ticket = service.Submit(r);
+    auto ticket = service.Submit([job = r, oracle]() mutable {
+      ServiceResponse resp;
+      resp.engine = job.engine;
+      job.request.options.oracle = oracle;
+      Result<RewriteResponse> run = RunEngine(job.engine, job.request);
+      if (run.ok()) {
+        resp.response = std::move(run).value();
+      } else {
+        resp.status = run.status();
+      }
+      return resp;
+    });
     ASSERT_TRUE(ticket.ok());
-    tickets.push_back(ticket.value());
+    tickets.push_back(std::move(ticket).value());
   }
   // Poll the first ticket until done, collect the rest blocking.
   std::optional<ServiceResponse> first;
   while (!first.has_value()) {
-    auto polled = service.TryWait(tickets[0]);
-    ASSERT_TRUE(polled.ok());
-    first = std::move(polled).value();
+    first = tickets[0].TryWait();
     if (!first.has_value()) std::this_thread::yield();
   }
   EXPECT_TRUE(first->status.ok()) << first->status.ToString();
+  EXPECT_EQ(first->engine, batch.engines[0]);
   for (size_t i = 1; i < tickets.size(); ++i) {
-    auto resp = service.Wait(tickets[i]);
-    ASSERT_TRUE(resp.ok());
-    EXPECT_TRUE(resp.value().status.ok()) << batch.labels[i];
-    EXPECT_EQ(resp.value().engine, batch.engines[i]);
+    ServiceResponse resp = tickets[i].Wait();
+    EXPECT_TRUE(resp.status.ok()) << batch.labels[i];
+    EXPECT_EQ(resp.engine, batch.engines[i]);
   }
   // Each ticket is collectable exactly once.
-  auto again = service.Wait(tickets[0]);
-  ASSERT_FALSE(again.ok());
-  EXPECT_EQ(again.status().code(), StatusCode::kNotFound);
+  for (const Ticket<ServiceResponse>& ticket : tickets) {
+    EXPECT_FALSE(ticket.valid());
+  }
 
   ServiceStats lifetime = service.lifetime_stats();
   EXPECT_EQ(lifetime.requests, tickets.size());
   EXPECT_EQ(lifetime.ok, tickets.size());
   EXPECT_EQ(lifetime.failed, 0u);
+  EXPECT_GT(lifetime.oracle.lookups(), 0u);
+}
+
+TEST(RewriteServiceTest, FailedCountsJobsWithNonOkResults) {
+  ServiceOptions options;
+  options.num_workers = 2;
+  RewriteService service(options);
+  auto bad = service.Submit([] { return Status::Internal("boom"); });
+  auto good = service.Submit([] { return Result<int>(7); });
+  auto plain = service.Submit([] { return 3; });
+  ASSERT_TRUE(bad.ok() && good.ok() && plain.ok());
+  EXPECT_EQ(bad.value().Wait().code(), StatusCode::kInternal);
+  EXPECT_EQ(good.value().Wait().value(), 7);
+  EXPECT_EQ(plain.value().Wait(), 3);
+  // Counters bump before delivery, so collected results are counted.
+  ServiceStats lifetime = service.lifetime_stats();
+  EXPECT_EQ(lifetime.requests, 3u);
+  EXPECT_EQ(lifetime.ok, 2u);
+  EXPECT_EQ(lifetime.failed, 1u);
+}
+
+TEST(RewriteServiceTest, DestructorRunsUncollectedJobs) {
+  constexpr int kJobs = 64;
+  std::atomic<int> ran{0};
+  std::vector<Ticket<int>> tickets;
+  {
+    ServiceOptions options;
+    options.num_workers = 2;
+    RewriteService service(options);
+    for (int i = 0; i < kJobs; ++i) {
+      auto ticket = service.Submit([&ran, i] {
+        ran.fetch_add(1, std::memory_order_relaxed);
+        return i;
+      });
+      ASSERT_TRUE(ticket.ok());
+      tickets.push_back(std::move(ticket).value());
+    }
+  }  // destroyed with every ticket still uncollected
+  EXPECT_EQ(ran.load(), kJobs);
+  // The tickets outlive the service and are all ready.
+  for (int i = 0; i < kJobs; ++i) {
+    std::optional<int> value = tickets[static_cast<size_t>(i)].TryWait();
+    ASSERT_TRUE(value.has_value()) << i;
+    EXPECT_EQ(*value, i);
+  }
+}
+
+TEST(TicketTest, CollectingTwiceAborts) {
+  std::promise<int> promise;
+  Ticket<int> ticket(promise.get_future());
+  promise.set_value(5);
+  EXPECT_EQ(ticket.Wait(), 5);
+  EXPECT_DEATH(static_cast<void>(ticket.Wait()), "Ticket collected twice");
 }
 
 TEST(RewriteServiceTest, PerResponseFailuresDoNotFailTheBatch) {
@@ -351,7 +413,6 @@ TEST(RewriteServiceTest, StressMixedScenariosManyWorkers) {
 TEST(RewriteServiceTest, DefaultWorkerCountIsAtLeastOne) {
   RewriteService service;  // num_workers = 0 → hardware_concurrency
   EXPECT_GE(service.num_workers(), 1);
-  EXPECT_TRUE(service.options().share_oracle);
 }
 
 }  // namespace

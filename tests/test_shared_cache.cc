@@ -287,6 +287,34 @@ TEST(SharedCacheTest, RepeatedScriptsHitThePlanCacheAcrossConnections) {
   server.Stop();
 }
 
+TEST(SharedCacheTest, SharedServerUsesTheServiceOracle) {
+  // The identity-mirror problem of the test above: its rewrite poses real
+  // containment questions.
+  const std::vector<std::string> script = {
+      "view ve(X, Y) :- edge(X, Y).",
+      "view vj(X, Y) :- edge(X, Y), checked(Y).",
+      "query q(X, Z) :- edge(X, Y), checked(Y), edge(Y, Z).",
+      "rewrite with lmss",
+      "quit"};
+  for (bool share : {true, false}) {
+    ServerOptions options;
+    options.share_cache = share;
+    FrontendServer server(options);
+    ASSERT_TRUE(server.Start().ok());
+    // One oracle per process: the server's shared cache is the pool's.
+    EXPECT_EQ(&server.oracle(), &server.service().oracle());
+    std::string response = RunScript(server.port(), script);
+    EXPECT_NE(response.find("ok\n"), std::string::npos) << response;
+    if (share) {
+      EXPECT_GT(server.oracle().stats().lookups(), 0u);
+    } else {
+      // Isolated connections answer from private oracles only.
+      EXPECT_EQ(server.oracle().stats().lookups(), 0u);
+    }
+    server.Stop();
+  }
+}
+
 TEST(SharedCacheTest, ViewMutationsInvalidateCachedPlans) {
   ServerOptions options;
   options.share_cache = true;

@@ -16,6 +16,14 @@ on-disk database size (`rss_answer_mb < file_mb` — the point of the
 mmap backend), while the Mmap:0 eager baseline must still answer
 identically (same `answers` counter as its mmap twin).
 
+The F12 eager open (BM_F12_OpenRecover at size 10^6, Mmap:0) copies
+every segment onto the heap, so its `rss_open_mb` must be at least half
+of `file_mb`; a smaller figure means the counter is not measuring the
+open.
+
+Every report must carry the `provenance` object run_bench.sh writes
+(git SHA, CMAKE_BUILD_TYPE, nproc, benchmark flags).
+
 Usage: tools/check_bench_smoke.py BENCH.json
 """
 
@@ -83,6 +91,23 @@ def check_f12(suite):
 
     if checked == 0:
         fail("no SelectiveAnswerPersisted benchmarks in bench_f12_storage")
+    eager_opens = 0
+    for bench in suite.get("benchmarks", []):
+        name = bench.get("name", "")
+        if ("BM_F12_OpenRecover" not in name or "size:1000000/" not in name
+                or "Mmap:0" not in name):
+            continue
+        for counter in ("rss_open_mb", "file_mb"):
+            if bench.get(counter) is None:
+                fail(f"{name}: missing {counter} counter")
+        if bench["rss_open_mb"] < 0.5 * bench["file_mb"]:
+            fail(f"{name}: eager open grew resident memory by "
+                 f"{bench['rss_open_mb']:.1f} MiB, under half the "
+                 f"{bench['file_mb']:.1f} MiB it copies onto the heap")
+        eager_opens += 1
+    if eager_opens == 0:
+        fail("no BM_F12_OpenRecover size:1000000 Mmap:0 benchmark in "
+             "bench_f12_storage")
     for size, by_backend in answers.items():
         if len(by_backend) == 2 and by_backend[True] != by_backend[False]:
             fail(f"F12 size {size}: mmap and columnar backends disagree "
@@ -96,6 +121,13 @@ def main():
     with open(sys.argv[1]) as f:
         merged = json.load(f)
     suites = merged.get("suites", {})
+
+    provenance = merged.get("provenance")
+    if not isinstance(provenance, dict):
+        fail("no provenance object in the report (run it via run_bench.sh)")
+    for key in ("git_sha", "cmake_build_type", "nproc", "flags"):
+        if key not in provenance:
+            fail(f"provenance is missing {key}")
 
     f5 = suites.get("bench_f5_eval_speedup")
     if f5 is None:

@@ -4,7 +4,9 @@
 # The suite includes bench_f8_service (the concurrent batch-rewriting
 # service sweep) and bench_f9_answering (the end-to-end answering
 # pipeline: route x engine x scenario x data size); see docs/OPERATIONS.md
-# for how to read the merged JSON.
+# for how to read the merged JSON. The artifact's `provenance` object
+# records the git SHA (and whether the tree was dirty), the
+# CMAKE_BUILD_TYPE of BUILD_DIR, nproc, and the benchmark flags.
 #
 # Usage:
 #   tools/run_bench.sh [BUILD_DIR] [OUTPUT_JSON]
@@ -64,11 +66,30 @@ for bin in "${BINARIES[@]}"; do
     --benchmark_out="$TMP_DIR/$name.json" --benchmark_out_format=json
 done
 
-python3 - "$TMP_DIR" "$OUTPUT" <<'PY'
+# Provenance: google/benchmark's own context only says how *it* was
+# built, so record what produced these numbers.
+REPO_DIR=$(cd "$(dirname "$0")/.." && pwd)
+GIT_SHA=$(git -C "$REPO_DIR" rev-parse HEAD 2>/dev/null || echo unknown)
+GIT_DIRTY=false
+if [[ -n "$(git -C "$REPO_DIR" status --porcelain --untracked-files=no 2>/dev/null)" ]]; then
+  GIT_DIRTY=true
+fi
+BUILD_TYPE=$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$BUILD_DIR/CMakeCache.txt" 2>/dev/null || true)
+NPROC=$(nproc)
+
+python3 - "$TMP_DIR" "$OUTPUT" "$GIT_SHA" "$GIT_DIRTY" "$BUILD_TYPE" "$NPROC" \
+  "${FLAGS[@]}" <<'PY'
 import json, pathlib, sys
 
 tmp_dir, output = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])
 merged = {"suites": {}}
+merged["provenance"] = {
+    "git_sha": sys.argv[3],
+    "git_dirty": sys.argv[4] == "true",
+    "cmake_build_type": sys.argv[5],
+    "nproc": int(sys.argv[6]),
+    "flags": sys.argv[7:],
+}
 for report in sorted(tmp_dir.glob("*.json")):
     with report.open() as f:
         data = json.load(f)
