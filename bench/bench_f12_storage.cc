@@ -18,7 +18,9 @@
 /// Counters: `file_mb` (on-disk database size), `rss_open_mb` /
 /// `rss_answer_mb` (VmRSS growth across open, and across open + warm
 /// answer, in a process whose heap never held the build phase; Linux-only,
-/// 0 elsewhere), and the evaluator's index counters —
+/// 0 elsewhere), `rss_anon_mb` / `rss_file_mb` (the RssAnon / RssFile
+/// split of the open + warm answer growth: heap copies versus mapped file
+/// pages), and the evaluator's index counters —
 /// the headline expectation is Mmap rss_answer_mb well below file_mb with
 /// warm `index_hits` > 0, while Columnar tracks file_mb.
 
@@ -45,17 +47,20 @@
 namespace aqv {
 namespace {
 
-/// VmRSS of this process in MiB (0 where /proc is unavailable).
-double RssMb() {
+/// The `field` line (e.g. "VmRSS:") of /proc/self/status in MiB (0 where
+/// /proc is unavailable).
+double StatusMb(const std::string& field) {
   std::ifstream in("/proc/self/status");
   std::string line;
   while (std::getline(in, line)) {
-    if (line.rfind("VmRSS:", 0) == 0) {
-      return std::stod(line.substr(6)) / 1024.0;
+    if (line.rfind(field, 0) == 0) {
+      return std::stod(line.substr(field.size())) / 1024.0;
     }
   }
   return 0.0;
 }
+
+double RssMb() { return StatusMb("VmRSS:"); }
 
 void WipeDir(const std::string& dir) {
   auto names = ListDir(dir);
@@ -93,6 +98,8 @@ struct F12Setup {
   double file_mb = 0;
   double rss_open_mb = 0;
   double rss_answer_mb = 0;
+  double rss_anon_mb = 0;
+  double rss_file_mb = 0;
 };
 
 EvalOptions IndexedOptions() {
@@ -181,6 +188,8 @@ std::unique_ptr<F12Setup> MakeSetup(int db_size, bool use_mmap) {
   // Open phase: attach + recover, then drop the store (keeps the mounted
   // extents, releases the lock).
   double rss0 = RssMb();
+  double anon0 = StatusMb("RssAnon:");
+  double file0 = StatusMb("RssFile:");
   {
     auto store = bench::Unwrap(
         SessionStore::Attach(setup->dir, setup->options), "reattach");
@@ -198,6 +207,8 @@ std::unique_ptr<F12Setup> MakeSetup(int db_size, bool use_mmap) {
       EvaluateQuery(setup->selective, setup->state.base, IndexedOptions()),
       "prime");
   setup->rss_answer_mb = RssMb() - rss0;
+  setup->rss_anon_mb = StatusMb("RssAnon:") - anon0;
+  setup->rss_file_mb = StatusMb("RssFile:") - file0;
   return setup;
 }
 
@@ -213,6 +224,8 @@ void ExportCounters(benchmark::State& state, const F12Setup& setup) {
   state.counters["file_mb"] = setup.file_mb;
   state.counters["rss_open_mb"] = setup.rss_open_mb;
   state.counters["rss_answer_mb"] = setup.rss_answer_mb;
+  state.counters["rss_anon_mb"] = setup.rss_anon_mb;
+  state.counters["rss_file_mb"] = setup.rss_file_mb;
   state.counters["base_tuples"] =
       static_cast<double>(setup.state.base.TotalTuples());
 }

@@ -9,7 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
-#include "eval/certain.h"
+#include "answering/certain.h"
 #include "eval/materialize.h"
 #include "rewriting/inverse_rules.h"
 #include "rewriting/minicon.h"

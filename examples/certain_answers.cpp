@@ -9,9 +9,9 @@
 
 #include <cstdio>
 
+#include "answering/certain.h"
+#include "answering/datalog.h"
 #include "cq/parser.h"
-#include "eval/certain.h"
-#include "eval/datalog.h"
 #include "rewriting/inverse_rules.h"
 #include "rewriting/minicon.h"
 

@@ -13,7 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "eval/certain.h"
+#include "answering/certain.h"
 #include "eval/evaluator.h"
 #include "eval/materialize.h"
 #include "rewriting/lmss.h"

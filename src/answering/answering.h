@@ -8,8 +8,8 @@
 /// rewriting from any registered engine by name (rewriting/engine.h) or a
 /// cost-ranked plan across all of them (rewriting/planner.h), executes
 /// the winner with the hash-join evaluator (eval/evaluator.h), and also
-/// exposes the inverse-rules certain-answer route (eval/certain.h) behind
-/// the same request/response API.
+/// exposes the inverse-rules certain-answer route (answering/certain.h)
+/// behind the same request/response API.
 ///
 /// Route semantics (LMSS95 §4 / Duschka-Genesereth):
 ///   kDirect             q over the base database — ground truth, needs
@@ -43,8 +43,8 @@
 #include <string_view>
 #include <vector>
 
+#include "answering/certain.h"
 #include "cq/query.h"
-#include "eval/certain.h"
 #include "eval/database.h"
 #include "eval/evaluator.h"
 #include "eval/relation.h"

@@ -1,9 +1,9 @@
-#include "eval/certain.h"
+#include "answering/certain.h"
 
 #include <set>
 #include <string>
 
-#include "eval/datalog.h"
+#include "answering/datalog.h"
 
 namespace aqv {
 

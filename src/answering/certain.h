@@ -1,5 +1,5 @@
-#ifndef AQV_EVAL_CERTAIN_H_
-#define AQV_EVAL_CERTAIN_H_
+#ifndef AQV_ANSWERING_CERTAIN_H_
+#define AQV_ANSWERING_CERTAIN_H_
 
 #include <cstdint>
 
@@ -72,4 +72,4 @@ struct WorldEnumOptions {
 
 }  // namespace aqv
 
-#endif  // AQV_EVAL_CERTAIN_H_
+#endif  // AQV_ANSWERING_CERTAIN_H_

@@ -1,4 +1,4 @@
-#include "eval/datalog.h"
+#include "answering/datalog.h"
 
 #include <set>
 

@@ -1,5 +1,5 @@
-#ifndef AQV_EVAL_DATALOG_H_
-#define AQV_EVAL_DATALOG_H_
+#ifndef AQV_ANSWERING_DATALOG_H_
+#define AQV_ANSWERING_DATALOG_H_
 
 #include <vector>
 
@@ -43,4 +43,4 @@ struct DatalogProgram {
 
 }  // namespace aqv
 
-#endif  // AQV_EVAL_DATALOG_H_
+#endif  // AQV_ANSWERING_DATALOG_H_

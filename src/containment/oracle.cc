@@ -1,5 +1,7 @@
 #include "containment/oracle.h"
 
+#include <utility>
+
 namespace aqv {
 
 namespace {
@@ -11,44 +13,13 @@ uint64_t PairKey(uint64_t sub_fp, uint64_t super_fp) {
   return h;
 }
 
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 }  // namespace
 
-OracleStats operator-(const OracleStats& after, const OracleStats& before) {
-  OracleStats d;
-  d.hits = after.hits - before.hits;
-  d.misses = after.misses - before.misses;
-  d.inserts = after.inserts - before.inserts;
-  d.capacity_rejects = after.capacity_rejects - before.capacity_rejects;
-  d.confirm_failures = after.confirm_failures - before.confirm_failures;
-  return d;
-}
-
 ContainmentOracle::ContainmentOracle(size_t max_entries, size_t num_shards)
-    : max_entries_(max_entries) {
-  if (num_shards < 1) num_shards = 1;
-  if (num_shards > 256) num_shards = 256;
-  num_shards = RoundUpPow2(num_shards);
-  shards_.reserve(num_shards);
-  for (size_t i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  // Ceil split keeps the total budget ≥ max_entries; with one shard the
-  // budget (and thus capacity behavior) is exactly the unsharded oracle's.
-  per_shard_budget_ = (max_entries + num_shards - 1) / num_shards;
-  shard_mask_ = static_cast<uint64_t>(num_shards - 1);
-  unsigned bits = 0;
-  for (size_t p = num_shards; p > 1; p >>= 1) ++bits;
-  shard_shift_ = bits == 0 ? 0 : 64 - bits;
-}
+    : forms_(max_entries, num_shards), decisions_(max_entries, num_shards) {}
 
-const ContainmentOracle::FormEntry& ContainmentOracle::FormOf(
-    const Query& q, FormEntry* scratch) {
+std::shared_ptr<const ContainmentOracle::FormEntry> ContainmentOracle::FormOf(
+    const Query& q) {
   // Keyed by the cheap order-sensitive hash of the *raw* catalog-
   // independent encoding; a verbatim encoding match is required before a
   // cached canonical encoding is reused, so hash collisions cost a
@@ -56,70 +27,33 @@ const ContainmentOracle::FormEntry& ContainmentOracle::FormOf(
   // the query across catalogs — no catalog pointer is consulted.
   std::vector<uint64_t> raw = GlobalRawEncoding(q);
   uint64_t raw_hash = HashWords(raw);
-  Shard& shard = ShardFor(raw_hash);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.forms.find(raw_hash);
-    if (it != shard.forms.end()) {
-      for (const std::unique_ptr<FormEntry>& e : it->second) {
-        // Entries are heap-allocated and never evicted before Clear(), so
-        // the reference stays valid after the lock is released.
-        if (e->raw == raw) return *e;
-      }
-    }
+  if (std::optional<std::shared_ptr<const FormEntry>> hit =
+          forms_.Lookup(raw_hash, raw)) {
+    return *std::move(hit);
   }
-  // Canonicalization is the expensive step — run it outside the lock.
+  // Canonicalization is the expensive step — run it outside any lock. If
+  // another thread inserted the same raw query meanwhile, Insert returns
+  // its entry rather than growing the bucket.
   std::vector<uint64_t> canon = GlobalCanonicalEncoding(q);
   uint64_t canon_hash = HashWords(canon);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  // Another thread may have inserted the same raw query while we
-  // canonicalized; reuse its entry rather than growing the bucket.
-  auto it = shard.forms.find(raw_hash);
-  if (it != shard.forms.end()) {
-    for (const std::unique_ptr<FormEntry>& e : it->second) {
-      if (e->raw == raw) return *e;
-    }
-  }
-  if (shard.form_entries >= per_shard_budget_) {
-    // Past the budget: compute without caching (the form cache honours the
-    // same entry budget as the decision cache).
-    *scratch = FormEntry{std::move(raw), std::move(canon), canon_hash};
-    return *scratch;
-  }
-  auto entry = std::make_unique<FormEntry>(
-      FormEntry{std::move(raw), std::move(canon), canon_hash});
-  const FormEntry& ref = *entry;
-  shard.forms[raw_hash].push_back(std::move(entry));
-  ++shard.form_entries;
-  return ref;
+  // Not make_shared: on aqvbench plan_cold (4-core VM, 2 workers) the fused
+  // block cost about 20% of throughput, most likely because every copy's
+  // count update then lands on the cache line other workers read `canon`
+  // and `canon_hash` from.
+  return forms_.Insert(raw_hash, std::move(raw),
+                       std::shared_ptr<const FormEntry>(
+                           new FormEntry{std::move(canon), canon_hash}));
 }
 
 Result<bool> ContainmentOracle::IsContainedIn(
     const Query& sub, const Query& super, const ContainmentOptions& options) {
-  // Form entries are heap-allocated, so these references survive each other
-  // and outlive their shard locks.
-  FormEntry sub_scratch, super_scratch;
-  const FormEntry& sub_entry = FormOf(sub, &sub_scratch);
-  const FormEntry& super_entry = FormOf(super, &super_scratch);
-  const std::vector<uint64_t>& sub_canon = sub_entry.canon;
-  const std::vector<uint64_t>& super_canon = super_entry.canon;
-  uint64_t key = PairKey(sub_entry.canon_hash, super_entry.canon_hash);
-  Shard& shard = ShardFor(key);
-
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.cache.find(key);
-    if (it != shard.cache.end()) {
-      for (const Entry& e : it->second) {
-        if (e.sub_canon == sub_canon && e.super_canon == super_canon) {
-          shard.hits.fetch_add(1, std::memory_order_relaxed);
-          return e.contained;
-        }
-        shard.confirm_failures.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
+  std::shared_ptr<const FormEntry> sub_form = FormOf(sub);
+  std::shared_ptr<const FormEntry> super_form = FormOf(super);
+  uint64_t key = PairKey(sub_form->canon_hash, super_form->canon_hash);
+  if (std::optional<bool> hit =
+          decisions_.Lookup(key, std::tie(sub_form->canon, super_form->canon))) {
+    return *hit;
   }
-  shard.misses.fetch_add(1, std::memory_order_relaxed);
 
   // The raw decision — the NP-hard part — runs with no lock held.
   ContainmentOptions raw = options;
@@ -127,72 +61,16 @@ Result<bool> ContainmentOracle::IsContainedIn(
   Result<bool> decided = aqv::IsContainedIn(sub, super, raw);
   if (!decided.ok()) return decided;  // errors (budget overruns) not cached
 
-  std::lock_guard<std::mutex> lock(shard.mu);
-  // Re-probe for a concurrent insert of the same pair (confirm_failures is
-  // not re-counted: the pre-compute scan already charged this bucket, and
-  // the single-threaded totals must match the unsharded oracle's exactly).
-  auto it = shard.cache.find(key);
-  if (it != shard.cache.end()) {
-    for (const Entry& e : it->second) {
-      if (e.sub_canon == sub_canon && e.super_canon == super_canon) {
-        return decided;  // same pure decision; don't grow the bucket
-      }
-    }
-  }
-  if (shard.entries >= per_shard_budget_) {
-    shard.capacity_rejects.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    // Copies, not moves: the encodings may live in (and stay in) the form
-    // cache.
-    Entry e{sub_canon, super_canon, decided.value()};
-    shard.cache[key].push_back(std::move(e));
-    ++shard.entries;
-    shard.inserts.fetch_add(1, std::memory_order_relaxed);
-  }
-  return decided;
-}
-
-OracleStats ContainmentOracle::stats() const {
-  OracleStats s;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    s.hits += shard->hits.load(std::memory_order_relaxed);
-    s.misses += shard->misses.load(std::memory_order_relaxed);
-    s.inserts += shard->inserts.load(std::memory_order_relaxed);
-    s.capacity_rejects +=
-        shard->capacity_rejects.load(std::memory_order_relaxed);
-    s.confirm_failures +=
-        shard->confirm_failures.load(std::memory_order_relaxed);
-  }
-  return s;
-}
-
-void ContainmentOracle::ResetStats() {
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    shard->hits.store(0, std::memory_order_relaxed);
-    shard->misses.store(0, std::memory_order_relaxed);
-    shard->inserts.store(0, std::memory_order_relaxed);
-    shard->capacity_rejects.store(0, std::memory_order_relaxed);
-    shard->confirm_failures.store(0, std::memory_order_relaxed);
-  }
-}
-
-size_t ContainmentOracle::size() const {
-  size_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->entries;
-  }
-  return total;
+  // Copies, not moves: the encodings may live in (and stay in) the form
+  // cache. A concurrent insert of the same pair wins; it holds the same
+  // pure decision.
+  return decisions_.Insert(key, PairEncoding(sub_form->canon, super_form->canon),
+                           decided.value());
 }
 
 void ContainmentOracle::Clear() {
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->cache.clear();
-    shard->forms.clear();
-    shard->entries = 0;
-    shard->form_entries = 0;
-  }
+  forms_.Clear();
+  decisions_.Clear();
 }
 
 }  // namespace aqv

@@ -15,58 +15,34 @@
 /// threads those options (minimization, candidate verification,
 /// subsumption pruning, the engine searches) then shares one cache.
 ///
-/// Thread safety: the oracle is internally sharded — both the form cache
-/// and the decision cache are sliced by fingerprint across `num_shards`
-/// shards, each guarded by its own mutex and holding its own slice of the
-/// entry budget — so any number of threads may call IsContainedIn on one
-/// shared oracle concurrently (the service layer in src/service/ does
-/// exactly that). Stats counters are relaxed atomics: exact under a
-/// single thread, and never torn (only momentarily inconsistent relative
-/// to each other) under many. Clear() and ResetStats() are the only
-/// exceptions: they must not race concurrent lookups.
+/// Thread safety: both caches are util/sharded_cache.h instances built
+/// with the same (max_entries, num_shards), so any number of threads may
+/// call IsContainedIn on one shared oracle concurrently (the service layer
+/// in src/service/ does exactly that). Stats are the decision cache's
+/// relaxed-atomic counters: exact under a single thread, and never torn
+/// (only momentarily inconsistent relative to each other) under many.
 
 #ifndef AQV_CONTAINMENT_ORACLE_H_
 #define AQV_CONTAINMENT_ORACLE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
+#include <tuple>
 #include <vector>
 
 #include "containment/containment.h"
 #include "cq/query.h"
+#include "util/sharded_cache.h"
 #include "util/status.h"
 
 namespace aqv {
 
-/// Hit/miss/budget counters of one ContainmentOracle (a plain-value
-/// snapshot; the live counters inside the oracle are per-shard atomics).
-struct OracleStats {
-  /// Lookups answered from the cache.
-  uint64_t hits = 0;
-  /// Lookups that fell through to a real containment decision.
-  uint64_t misses = 0;
-  /// Entries added to the cache (misses minus capacity rejections and
-  /// non-OK decisions, which are never cached).
-  uint64_t inserts = 0;
-  /// Results not cached because the shard's entry budget was full.
-  uint64_t capacity_rejects = 0;
-  /// Bucket probes whose key hash matched but whose canonical-encoding
-  /// confirmation failed (true 64-bit collisions or same-key distinct
-  /// pairs) — the soundness guard firing.
-  uint64_t confirm_failures = 0;
-
-  uint64_t lookups() const { return hits + misses; }
-  double hit_rate() const {
-    return lookups() == 0 ? 0.0 : static_cast<double>(hits) / lookups();
-  }
-};
-
-/// Counter-wise difference (for per-request deltas of a shared oracle).
-OracleStats operator-(const OracleStats& after, const OracleStats& before);
+/// Hit/miss/budget counters of one ContainmentOracle: its decision
+/// cache's. `misses` counts lookups that fell through to a real
+/// containment decision; `inserts` excludes capacity rejections and
+/// non-OK decisions, which are never cached.
+using OracleStats = CacheStats;
 
 /// \brief Memoizes containment decisions across a rewriting session — or a
 /// whole server lifetime — safely shareable across threads and across
@@ -80,13 +56,13 @@ OracleStats operator-(const OracleStats& after, const OracleStats& before);
 /// — kResourceExhausted under one budget must stay retryable under
 /// another.
 ///
-/// Sharding: shard index = key >> (64 - log2(num_shards_rounded_up)), i.e.
-/// the top key bits slice both caches. With `num_shards == 1` (the
-/// default) behavior — decisions, stats totals, capacity behavior — is
-/// identical to the pre-sharding single-threaded oracle. With N shards the
-/// entry budget is split evenly (ceil(max_entries / N) per shard), so
-/// capacity_rejects can differ across shard counts once a shard fills;
-/// decisions never differ (the cache is pure).
+/// Sharding (util/sharded_cache.h): the top key bits pick the shard in
+/// both caches. With `num_shards == 1` (the default) behavior — decisions,
+/// stats totals, capacity behavior — is identical to the pre-sharding
+/// single-threaded oracle. With N shards the entry budget is split evenly
+/// (ceil(max_entries / N) per shard), so capacity_rejects can differ
+/// across shard counts once a shard fills; decisions never differ (the
+/// cache is pure).
 ///
 /// Lifetime: entries reference no catalog (symbols appear as process-global
 /// interned ids), so catalogs may be created and destroyed freely while an
@@ -97,7 +73,7 @@ OracleStats operator-(const OracleStats& after, const OracleStats& before);
 /// containment is invariant under that bijection.
 class ContainmentOracle {
  public:
-  /// `max_entries` bounds total cache growth across all shards; past a
+  /// `max_entries` bounds each cache's growth across all shards; past a
   /// shard's slice of it, results are still computed and returned but no
   /// longer cached (capacity_rejects counts them). `num_shards` is clamped
   /// to [1, 256] and rounded up to a power of two.
@@ -115,78 +91,48 @@ class ContainmentOracle {
   [[nodiscard]] Result<bool> IsContainedIn(const Query& sub, const Query& super,
                              const ContainmentOptions& options);
 
-  /// Aggregated snapshot of the per-shard atomic counters. Exact when no
-  /// lookup is in flight; under concurrency each counter is itself exact
-  /// (relaxed atomic), but the snapshot may straddle an in-flight lookup.
-  OracleStats stats() const;
-  /// Zeroes the counters. Must not race concurrent lookups.
-  void ResetStats();
+  /// Snapshot of the decision cache's counters. Exact when no lookup is in
+  /// flight; under concurrency each counter is itself exact, but the
+  /// snapshot may straddle an in-flight lookup.
+  OracleStats stats() const { return decisions_.stats(); }
+  /// Zeroes the counters (entries stay).
+  void ResetStats() { decisions_.ResetStats(); }
 
-  /// Number of cached entries (summed across shards).
-  size_t size() const;
-  size_t max_entries() const { return max_entries_; }
-  size_t num_shards() const { return shards_.size(); }
+  /// Number of cached decisions (summed across shards).
+  size_t size() const { return decisions_.size(); }
+  size_t max_entries() const { return decisions_.max_entries(); }
+  size_t num_shards() const { return decisions_.num_shards(); }
 
-  /// Drops all entries (stats are kept; ResetStats clears those). Must not
-  /// race concurrent lookups: FormOf references handed out earlier die.
+  /// Drops all forms and decisions (stats are kept; ResetStats clears
+  /// those).
   void Clear();
 
  private:
-  /// One memoized decision: the catalog-independent canonical encodings of
-  /// the pair (the confirmation key — plain word-vector equality, no
-  /// catalog pointer) and the cached verdict.
-  struct Entry {
-    std::vector<uint64_t> sub_canon;
-    std::vector<uint64_t> super_canon;
-    bool contained;
-  };
-
-  /// One canonicalization memo: the verbatim (raw) encoding identifying
-  /// the exact input query, its canonical encoding, and the canonical
+  /// One canonicalization memo, keyed by the verbatim (raw) encoding of
+  /// the exact input query: its canonical encoding and the canonical
   /// hash, cached so hits pay neither re-canonicalization nor re-hash.
   struct FormEntry {
-    std::vector<uint64_t> raw;
     std::vector<uint64_t> canon;
     uint64_t canon_hash;
   };
 
-  /// One lock domain: a slice of the form cache and of the decision cache,
-  /// with its own share of the entry budget. Heap-allocated (the mutex
-  /// pins it) and padded-by-allocation against false sharing.
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<uint64_t, std::vector<std::unique_ptr<FormEntry>>>
-        forms;
-    std::unordered_map<uint64_t, std::vector<Entry>> cache;
-    size_t form_entries = 0;
-    size_t entries = 0;
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
-    std::atomic<uint64_t> inserts{0};
-    std::atomic<uint64_t> capacity_rejects{0};
-    std::atomic<uint64_t> confirm_failures{0};
-  };
+  /// Decision key: the catalog-independent canonical encodings of the
+  /// (sub, super) pair — plain word-vector equality, no catalog pointer.
+  /// Probed with a std::tie of the two encodings, so a lookup copies
+  /// neither.
+  using PairEncoding =
+      std::tuple<std::vector<uint64_t>, std::vector<uint64_t>>;
 
-  Shard& ShardFor(uint64_t key) const {
-    // Top bits: the keys are well-mixed 64-bit hashes, and the low bits
-    // already pick the unordered_map bucket inside the shard.
-    return *shards_[(key >> shard_shift_) & shard_mask_];
-  }
+  /// Canonical encoding (plus its hash) of `q`, served from the form cache
+  /// when the exact same query (verbatim raw-encoding match, across any
+  /// catalog) was canonicalized before — the common case for the fixed
+  /// outer query and for recurring expansions. Shared ownership: the
+  /// entry outlives Clear() and, past the shard's budget, the cache.
+  std::shared_ptr<const FormEntry> FormOf(const Query& q);
 
-  /// Canonical encoding (plus its hash) of `q`, served from the sharded
-  /// form cache when the exact same query (verbatim raw-encoding match,
-  /// across any catalog) was canonicalized before — the common case for
-  /// the fixed outer query and for recurring expansions. The returned
-  /// reference is stable until Clear() (entries are heap-allocated and
-  /// never evicted); past the shard's entry budget the encoding is
-  /// computed into `*scratch` instead.
-  const FormEntry& FormOf(const Query& q, FormEntry* scratch);
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  size_t max_entries_;
-  size_t per_shard_budget_;
-  uint64_t shard_mask_;
-  unsigned shard_shift_;
+  ShardedCache<std::vector<uint64_t>, std::shared_ptr<const FormEntry>>
+      forms_;
+  ShardedCache<PairEncoding, bool> decisions_;
 };
 
 }  // namespace aqv

@@ -15,10 +15,10 @@
 ///     stale plans can never be returned — they merely age out of the
 ///     budget.
 ///
-/// Thread safety: sharded like the ContainmentOracle — key hash picks the
-/// shard, each shard has its own mutex and slice of the entry budget; any
-/// number of sessions may Lookup/Insert concurrently. Stats counters are
-/// relaxed atomics. Clear() and ResetStats() must not race lookups.
+/// Thread safety: one util/sharded_cache.h instance, like both of the
+/// ContainmentOracle's caches — the key hash picks the shard, each shard
+/// has its own mutex and slice of the entry budget; any number of
+/// sessions may Lookup/Insert concurrently.
 ///
 /// This cache complements (not replaces) the ContainmentOracle: the oracle
 /// memoizes the NP-hard containment subproblems across *all* traffic; the
@@ -28,59 +28,44 @@
 #ifndef AQV_SERVICE_PLAN_CACHE_H_
 #define AQV_SERVICE_PLAN_CACHE_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
+#include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <vector>
+#include <utility>
 
 #include "rewriting/engine.h"
+#include "util/sharded_cache.h"
 
 namespace aqv {
 
 /// Hit/miss counters of one RewritePlanCache (plain-value snapshot).
-struct PlanCacheStats {
-  /// Lookups answered from the cache.
-  uint64_t hits = 0;
-  /// Lookups that fell through to a real engine run.
-  uint64_t misses = 0;
-  /// Plans added to the cache.
-  uint64_t inserts = 0;
-  /// Plans not cached because the shard's entry budget was full.
-  uint64_t capacity_rejects = 0;
+/// `misses` counts lookups that fell through to a real engine run.
+using PlanCacheStats = CacheStats;
 
-  uint64_t lookups() const { return hits + misses; }
-  double hit_rate() const {
-    return lookups() == 0 ? 0.0 : static_cast<double>(hits) / lookups();
-  }
+/// One memoized rewrite outcome (RewritePlanCache::Plan).
+struct RewritePlan {
+  /// The exact command payload (everything before the "ok" terminator)
+  /// the populating run rendered.
+  std::string rendered;
+  /// Engine counters of the populating run, replayed into the session's
+  /// last-rewrite stats so `show stats` stays meaningful on hits.
+  RewriteStats stats;
 };
 
 /// \brief Sharded map from a rendered problem statement to its verified
 /// rewriting payload.
-class RewritePlanCache {
+class RewritePlanCache : private ShardedCache<std::string, RewritePlan> {
  public:
-  /// One memoized rewrite outcome.
-  struct Plan {
-    /// The exact command payload (everything before the "ok" terminator)
-    /// the populating run rendered.
-    std::string rendered;
-    /// Engine counters of the populating run, replayed into the session's
-    /// last-rewrite stats so `show stats` stays meaningful on hits.
-    RewriteStats stats;
-  };
+  using Plan = RewritePlan;
 
   /// `max_entries` bounds total cached plans across all shards; past a
   /// shard's slice, Insert becomes a counted no-op. `num_shards` is
   /// clamped to [1, 256] and rounded up to a power of two.
   explicit RewritePlanCache(size_t max_entries = size_t{1} << 16,
-                            size_t num_shards = 8);
-
-  RewritePlanCache(const RewritePlanCache&) = delete;
-  RewritePlanCache& operator=(const RewritePlanCache&) = delete;
+                            size_t num_shards = 8)
+      : ShardedCache(max_entries, num_shards) {}
 
   /// Builds the canonical cache key for a problem statement. `views_text`
   /// must render every view in scope (order-sensitive — the session's
@@ -92,42 +77,30 @@ class RewritePlanCache {
                              const std::string& views_text);
 
   /// The cached plan for `key`, or nullopt (counting a hit or miss).
-  std::optional<Plan> Lookup(const std::string& key);
+  std::optional<Plan> Lookup(const std::string& key) {
+    return ShardedCache::Lookup(KeyHash(key), key);
+  }
 
   /// Caches `plan` under `key` unless the shard is at budget or the key is
   /// already present (first writer wins; identical keys imply identical
   /// plans, so dropping the duplicate is sound).
-  void Insert(const std::string& key, Plan plan);
+  void Insert(const std::string& key, Plan plan) {
+    ShardedCache::Insert(KeyHash(key), key, std::move(plan));
+  }
 
-  /// Aggregated snapshot of the per-shard counters.
-  PlanCacheStats stats() const;
-  /// Zeroes the counters. Must not race concurrent lookups.
-  void ResetStats();
-
-  /// Number of cached plans (summed across shards).
-  size_t size() const;
-  size_t max_entries() const { return max_entries_; }
-  size_t num_shards() const { return shards_.size(); }
-
-  /// Drops all plans (stats kept). Must not race concurrent lookups.
-  void Clear();
+  /// Counters, entry count and Clear() (stats kept) of the one cache.
+  using ShardedCache::Clear;
+  using ShardedCache::max_entries;
+  using ShardedCache::num_shards;
+  using ShardedCache::ResetStats;
+  using ShardedCache::size;
+  using ShardedCache::stats;
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::string, Plan> plans;
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
-    std::atomic<uint64_t> inserts{0};
-    std::atomic<uint64_t> capacity_rejects{0};
-  };
-
-  Shard& ShardFor(const std::string& key) const;
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  size_t max_entries_;
-  size_t per_shard_budget_;
-  uint64_t shard_mask_;
+  /// The key's one hash: it picks the shard (top bits) and the bucket.
+  static uint64_t KeyHash(const std::string& key) {
+    return std::hash<std::string>{}(key);
+  }
 };
 
 }  // namespace aqv

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "answering/certain.h"
 #include "cq/parser.h"
-#include "eval/certain.h"
 #include "eval/materialize.h"
 #include "rewriting/bucket.h"
 #include "rewriting/minicon.h"

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "answering/datalog.h"
 #include "cq/parser.h"
-#include "eval/datalog.h"
 
 namespace aqv {
 namespace {

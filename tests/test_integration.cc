@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "answering/certain.h"
 #include "containment/containment.h"
 #include "cq/parser.h"
-#include "eval/certain.h"
 #include "eval/evaluator.h"
 #include "eval/materialize.h"
 #include "rewriting/bucket.h"

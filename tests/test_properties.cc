@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "answering/certain.h"
 #include "containment/containment.h"
 #include "containment/minimize.h"
 #include "cq/canonical_db.h"
 #include "cq/parser.h"
-#include "eval/certain.h"
 #include "eval/evaluator.h"
 #include "eval/materialize.h"
 #include "eval/value.h"

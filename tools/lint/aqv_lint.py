@@ -34,9 +34,9 @@ import sys
 # The declared module DAG (docs/ARCHITECTURE.md "module graph").
 #
 # ALLOWED[m] = modules whose headers files in src/<m>/ may include. Every
-# module may include itself. eval <-> rewriting is the single permitted
-# cycle (datalog/certain need inverse rules; the planner needs the
-# evaluator's cost feedback). frontend is the ingress: nothing includes it.
+# module may include itself. The graph is acyclic: rewriting includes
+# eval (the planner needs the evaluator's cost feedback), never the
+# reverse. frontend is the ingress: nothing includes it.
 # service is included by frontend only.
 # --------------------------------------------------------------------------
 
@@ -59,7 +59,7 @@ ALLOWED = {
     "cq": {"cq", "util"},
     "containment": {"containment", "cq", "util"},
     "views": {"views", "containment", "cq", "util"},
-    "eval": {"eval", "rewriting", "views", "containment", "cq", "util"},
+    "eval": {"eval", "views", "containment", "cq", "util"},
     "rewriting": {"rewriting", "eval", "views", "containment", "cq", "util"},
     "answering": {
         "answering", "rewriting", "eval", "views", "containment", "cq", "util",
@@ -82,7 +82,7 @@ ALLOWED = {
 RULES = {
     "layering": (
         "#include edges in src/ must follow the declared module DAG "
-        "(eval<->rewriting is the only cycle; nothing includes frontend; "
+        "(no cycles; nothing includes frontend; "
         "only frontend includes service)"
     ),
     "no-throw": (

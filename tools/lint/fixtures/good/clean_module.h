@@ -11,7 +11,7 @@
 
 #include "cq/query.h"
 #include "eval/relation.h"
-#include "rewriting/inverse_rules.h"  // the one permitted cycle: eval <-> rewriting
+#include "views/view.h"  // a lower module: eval sits above views
 #include "util/rng.h"
 #include "util/status.h"
 

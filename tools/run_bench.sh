@@ -14,6 +14,10 @@
 # Environment knobs (all optional):
 #   AQV_BENCH_MIN_TIME     --benchmark_min_time value (e.g. "0.05" seconds
 #                          or "1x" for one iteration; default: benchmark's).
+#                          google/benchmark before 1.8 silently ignores the
+#                          "Nx" form and runs its 0.5 s default, so there
+#                          "Nx" is passed as a zero minimum time, which
+#                          stops after the first (single-iteration) batch.
 #   AQV_BENCH_REPETITIONS  --benchmark_repetitions value (default 1).
 #   AQV_BENCH_FILTER       --benchmark_filter regex applied to every binary.
 #   AQV_BENCH_BINARIES     Space-separated subset of bench binary names
@@ -53,6 +57,16 @@ fi
 
 TMP_DIR=$(mktemp -d)
 trap 'rm -rf "$TMP_DIR"' EXIT
+
+# google/benchmark 1.8+ documents the "<integer>x" form in its --help.
+if [[ "$MIN_TIME" =~ ^[0-9]+x$ ]]; then
+  usage=$("${BINARIES[0]}" --help 2>&1 || true)
+  if [[ "$usage" != *"<integer>x"* ]]; then
+    echo "note: this google/benchmark predates \"Nx\" min times;" \
+      "running one iteration per benchmark instead of $MIN_TIME" >&2
+    MIN_TIME=0
+  fi
+fi
 
 FLAGS=(--benchmark_repetitions="$REPETITIONS")
 [[ -n "$MIN_TIME" ]] && FLAGS+=(--benchmark_min_time="$MIN_TIME")
